@@ -19,20 +19,25 @@ import (
 	"dimred/internal/mdm"
 )
 
-// Row is one buffered fact: bottom-granularity dimension references and
-// the measure vector. Append deep-copies both slices, so a Row never
-// aliases caller memory.
+// Row is one fact on its way into the warehouse: bottom-granularity
+// dimension references and the measure vector. The buffer builds its
+// rows with NewRow, so a buffered Row never aliases caller memory.
 type Row struct {
 	Refs []mdm.ValueID
 	Meas []float64
 }
 
-// Config bounds a Buffer/Compactor pair.
+// NewRow returns a Row holding copies of refs and meas, so the caller
+// may reuse both slices.
+func NewRow(refs []mdm.ValueID, meas []float64) Row {
+	return Row{
+		Refs: append([]mdm.ValueID(nil), refs...),
+		Meas: append([]float64(nil), meas...),
+	}
+}
+
+// Config tunes a Compactor.
 type Config struct {
-	// Shards is the number of independent append shards; more shards
-	// mean less contention between concurrent producers. Zero or
-	// negative selects the default.
-	Shards int
 	// MinBatch is the minimum number of buffered facts before the
 	// compactor folds (the final fold on Stop drains regardless). Zero
 	// or negative selects the default of 1 — fold as soon as anything
@@ -41,14 +46,11 @@ type Config struct {
 	MinBatch int
 }
 
-// DefaultShards is the shard count used when Config.Shards is unset.
+// DefaultShards is the shard count of the warehouse's delta buffer.
 const DefaultShards = 8
 
 // WithDefaults returns cfg with unset fields replaced by defaults.
 func (cfg Config) WithDefaults() Config {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.MinBatch <= 0 {
 		cfg.MinBatch = 1
 	}
@@ -92,10 +94,7 @@ func NewBuffer(shards int) *Buffer {
 // Append buffers one fact. The refs and meas slices are copied, so the
 // caller may reuse them. Safe for any number of concurrent producers.
 func (b *Buffer) Append(refs []mdm.ValueID, meas []float64) {
-	r := Row{
-		Refs: append([]mdm.ValueID(nil), refs...),
-		Meas: append([]float64(nil), meas...),
-	}
+	r := NewRow(refs, meas)
 	s := b.shards[b.next.Add(1)%uint64(len(b.shards))]
 	s.mu.Lock()
 	s.rows = append(s.rows, r)

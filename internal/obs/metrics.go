@@ -17,7 +17,7 @@ type Metrics struct {
 	clock Clock
 
 	// Load path.
-	FactsLoaded  Counter // user facts ingested via Load/LoadBatch
+	FactsLoaded  Counter // user facts committed by Load, LoadBatch or ingest compaction
 	BatchLoads   Counter // LoadBatch calls
 	RowsAppended Counter // physical rows appended to any cube store
 	RowsMerged   Counter // in-place cell merges (row already present)

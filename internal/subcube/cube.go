@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"dimred/internal/caltime"
+	"dimred/internal/ingest"
 	"dimred/internal/mdm"
 	"dimred/internal/obs"
 	"dimred/internal/spec"
@@ -262,19 +263,36 @@ func (cs *CubeSet) Spec() *spec.Spec { return cs.sp }
 // the set was never synchronized.
 func (cs *CubeSet) LastSync() (caltime.Day, bool) { return cs.lastSync, cs.synced }
 
+// CheckRow validates one fact row against the schema: refs and meas
+// have the schema's arity, and every ref is a value id of its dimension
+// — at that dimension's bottom category when atBottom is set. It is the
+// one row check of every write path (Insert and RestoreRow here;
+// Ingest, Load and LoadBatch in the warehouse), so an untrusted id is
+// rejected before any lookup indexes with it. It only reads the schema.
+func CheckRow(schema *mdm.Schema, refs []mdm.ValueID, meas []float64, atBottom bool) error {
+	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
+		return fmt.Errorf("row shape mismatch: %d refs and %d measures for %d dimensions and %d measures",
+			len(refs), len(meas), schema.NumDims(), len(schema.Measures))
+	}
+	for i, d := range schema.Dims {
+		v := refs[i]
+		if v < 0 || int(v) >= d.NumValues() {
+			return fmt.Errorf("dimension %s has no value id %d", d.Name(), v)
+		}
+		if got := d.CategoryOf(v); atBottom && got != d.Bottom() {
+			return fmt.Errorf("dimension %s value at category %s, want bottom category %s",
+				d.Name(), d.Category(got).Name, d.Category(d.Bottom()).Name)
+		}
+	}
+	return nil
+}
+
 // Insert adds one user fact at the bottom granularity. Measures of
 // COUNT kind are initialized to 1 regardless of the supplied value.
 func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 	schema := cs.env.Schema
-	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
-		return fmt.Errorf("subcube: Insert: row shape mismatch")
-	}
-	bottom := cs.cubes[0]
-	for i, d := range schema.Dims {
-		if got := d.CategoryOf(refs[i]); got != bottom.gran[i] {
-			return fmt.Errorf("subcube: Insert: dimension %s value at category %s, want bottom category %s",
-				d.Name(), d.Category(got).Name, d.Category(bottom.gran[i]).Name)
-		}
+	if err := CheckRow(schema, refs, meas, true); err != nil {
+		return fmt.Errorf("subcube: Insert: %w", err)
 	}
 	init := make([]float64, len(meas))
 	for j, m := range schema.Measures {
@@ -283,7 +301,40 @@ func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 			init[j] = 1
 		}
 	}
-	return cs.mergeInto(bottom, refs, init, 1)
+	return cs.mergeInto(cs.cubes[0], refs, init, 1)
+}
+
+// CountLate counts the late rows: the cube set has synchronized and, as
+// of that last synchronization, the specification deletes the row's
+// cell or aggregates it above the bottom granularity. A late row must
+// be inserted together with a synchronization, or queries would see it
+// at a granularity the Growing invariant says no longer exists there.
+// A row that fails CheckRow is not late; Insert reports it.
+func (cs *CubeSet) CountLate(rows []ingest.Row) int {
+	ts, ok := cs.LastSync()
+	if !ok {
+		return 0
+	}
+	schema := cs.env.Schema
+	bottom := cs.cubes[0].gran
+	eval := cs.newCellEval(cs.sp, ts)
+	level := make(mdm.Granularity, len(bottom))
+	late := 0
+	for _, r := range rows {
+		if CheckRow(schema, r.Refs, r.Meas, true) != nil {
+			continue
+		}
+		if eval.deletedBy(r.Refs) != nil {
+			late++
+			continue
+		}
+		eval.aggLevelInto(r.Refs, level, nil)
+		if !schema.GranEq(level, bottom) {
+			late++
+		}
+	}
+	cs.met.ProgramProbes.Add(eval.probes)
+	return late
 }
 
 // InsertMO bulk-loads every fact of a bottom-granularity MO.
@@ -323,8 +374,9 @@ func (cs *CubeSet) mergeInto(c *Cube, refs []mdm.ValueID, meas []float64, base i
 
 // cellEval evaluates DeletedBy/AggLevel per cell through either the
 // compiled router or the interpreted specification, behind one seam so
-// viewOf and ApplySpec need a single implementation. It counts router
-// probes locally; callers publish the count with one atomic add.
+// viewOf, ApplySpec and CountLate need a single implementation. It
+// counts router probes locally; callers publish the count with one
+// atomic add.
 type cellEval struct {
 	router *specexec.Router // nil selects the interpreted path
 	sp     *spec.Spec
@@ -795,8 +847,8 @@ func (cs *CubeSet) DeletedFacts() int64 { return cs.deletedBase }
 // taken as already-aggregated partials.
 func (cs *CubeSet) RestoreRow(refs []mdm.ValueID, meas []float64, base int64) error {
 	schema := cs.env.Schema
-	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
-		return fmt.Errorf("subcube: RestoreRow: row shape mismatch")
+	if err := CheckRow(schema, refs, meas, false); err != nil {
+		return fmt.Errorf("subcube: RestoreRow: %w", err)
 	}
 	gran := make(mdm.Granularity, len(refs))
 	for i, d := range schema.Dims {

@@ -9,6 +9,7 @@ import (
 	"dimred/internal/caltime"
 	"dimred/internal/core"
 	"dimred/internal/dims"
+	"dimred/internal/ingest"
 	"dimred/internal/mdm"
 	"dimred/internal/query"
 	"dimred/internal/spec"
@@ -116,6 +117,14 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if err := cs.Insert([]mdm.ValueID{q4}, []float64{1}); err == nil {
 		t.Error("short row accepted")
+	}
+	for _, bad := range []mdm.ValueID{1 << 20, -1} {
+		if err := cs.Insert([]mdm.ValueID{bad, cnn}, []float64{1, 1, 1, 1}); err == nil {
+			t.Errorf("value id %d accepted by Insert", bad)
+		}
+		if err := cs.RestoreRow([]mdm.ValueID{q4, bad}, []float64{1, 1, 1, 1}, 1); err == nil {
+			t.Errorf("value id %d accepted by RestoreRow", bad)
+		}
 	}
 	if err := cs.InsertMO(p.MO); err != nil {
 		t.Fatal(err)
@@ -535,5 +544,46 @@ func TestLateArrivalsFlowThroughBottom(t *testing.T) {
 	}
 	if cs.Cubes()[0].Rows() != 0 {
 		t.Errorf("bottom cube rows = %d, want 0", cs.Cubes()[0].Rows())
+	}
+}
+
+// TestCountLateMatchesSpec pins the late-arrival rule on both sides of
+// the cellEval seam: for every bottom cell of the Figure 7/8 setup, a
+// row is late exactly when, at the last synchronization, the
+// interpreted specification deletes its cell or aggregates it above the
+// bottom — and never before the first synchronization. A row that
+// fails the row check is not late.
+func TestCountLateMatchesSpec(t *testing.T) {
+	p, s, cs := figure78Setup(t)
+	schema := s.Env().Schema
+	var rows []ingest.Row
+	for _, dv := range p.Time.ValuesIn(p.Time.Day) {
+		for _, uv := range p.URL.ValuesIn(p.URL.Dimension.Bottom()) {
+			rows = append(rows, ingest.Row{Refs: []mdm.ValueID{dv, uv}, Meas: []float64{1, 1, 1, 1}})
+		}
+	}
+	rows = append(rows, ingest.Row{Refs: []mdm.ValueID{1 << 20, 0}, Meas: []float64{1, 1, 1, 1}})
+	if n := cs.CountLate(rows); n != 0 {
+		t.Fatalf("CountLate before any synchronization = %d, want 0", n)
+	}
+	at := day(t, "2000/11/5")
+	if _, err := cs.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, r := range rows[:len(rows)-1] {
+		level, _ := s.AggLevel(r.Refs, at)
+		if s.DeletedBy(r.Refs, at) != nil || !schema.GranEq(level, schema.BottomGranularity()) {
+			want++
+		}
+	}
+	if want == 0 || want == len(rows)-1 {
+		t.Fatalf("degenerate fixture: %d of %d rows late", want, len(rows)-1)
+	}
+	for _, interpret := range []bool{false, true} {
+		cs.SetInterpreted(interpret)
+		if got := cs.CountLate(rows); got != want {
+			t.Errorf("interpreted=%v: CountLate = %d, want %d", interpret, got, want)
+		}
 	}
 }

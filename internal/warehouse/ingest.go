@@ -19,34 +19,16 @@ import (
 // and merges distributively (the Growing invariant makes the delta fold
 // exact — see the replay differential in ingest_test.go).
 
-// validateFact mirrors CubeSet.Insert's shape checks against the
-// immutable schema, so a producer gets the error at Ingest time instead
-// of a poisoned batch at compaction time. Read-only on the schema,
-// hence safe without wmu.
-func (w *Warehouse) validateFact(refs []mdm.ValueID, meas []float64) error {
-	schema := w.env.Schema
-	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
-		return fmt.Errorf("warehouse: Ingest: row shape mismatch")
-	}
-	bottom := schema.BottomGranularity()
-	for i, d := range schema.Dims {
-		if d.CategoryOf(refs[i]) != bottom[i] {
-			return fmt.Errorf("warehouse: Ingest: dimension %s value not at bottom category %s",
-				d.Name(), d.Category(bottom[i]).Name)
-		}
-	}
-	return nil
-}
-
 // Ingest buffers one bottom-granularity fact for asynchronous
 // compaction. It never touches the served snapshot or the writer lock:
-// the fact is validated against the schema, deep-copied into a buffer
-// shard, and becomes queryable when the background compactor (or an
-// explicit FlushIngest) folds the accumulated deltas. Safe for any
-// number of concurrent producers.
+// the fact is checked against the schema (so a producer gets the error
+// here instead of a poisoned batch at compaction time), deep-copied
+// into a buffer shard, and becomes queryable when the background
+// compactor (or an explicit FlushIngest) folds the accumulated deltas.
+// Safe for any number of concurrent producers.
 func (w *Warehouse) Ingest(refs []mdm.ValueID, meas []float64) error {
-	if err := w.validateFact(refs, meas); err != nil {
-		return err
+	if err := subcube.CheckRow(w.env.Schema, refs, meas, true); err != nil {
+		return fmt.Errorf("warehouse: Ingest: %w", err)
 	}
 	w.buf.Append(refs, meas)
 	w.met.IngestQueued.Inc()
@@ -100,11 +82,11 @@ func (w *Warehouse) FlushIngest() error {
 	return w.compactDeltas(w.buf.Drain())
 }
 
-// compactDeltas folds one drained batch into the subcube DAG as a
-// single sync-carrying publication: insert every row at the bottom,
-// then synchronize at the current clock, so each fact lands at
-// Cell(f, t)'s granularity and readers never observe the unfolded
-// batch. It is the Compactor's fold callback and FlushIngest's body.
+// compactDeltas folds one drained batch through foldLocked as a single
+// sync-carrying publication, so each fact lands at Cell(f, t)'s
+// granularity and readers never observe the unfolded batch, and counts
+// the batch's late facts. It is the Compactor's fold callback and
+// FlushIngest's body.
 func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -113,58 +95,12 @@ func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 	start := clk.Now()
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	late := w.countLateLocked(rows)
-	err := w.syncWithLocked(func(cs *subcube.CubeSet) error {
-		for _, r := range rows {
-			if err := cs.Insert(r.Refs, r.Meas); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	late := w.working.CountLate(rows)
+	if err := w.foldLocked(rows, true); err != nil {
 		return err
 	}
-	n := int64(len(rows))
-	w.loaded.Add(n)
-	w.met.FactsLoaded.Add(n)
-	w.met.IngestCompacted.Add(n)
-	w.met.IngestLate.Add(late)
+	w.met.IngestCompacted.Add(int64(len(rows)))
+	w.met.IngestLate.Add(int64(late))
 	w.met.CompactionDuration.Observe(clk.Since(start))
 	return nil
-}
-
-// countLateLocked counts the batch rows whose day already sits inside a
-// reduced region: the warehouse has synchronized, and as of that last
-// synchronization the specification either aggregates the fact's cell
-// above the bottom or deletes it outright.
-func (w *Warehouse) countLateLocked(rows []ingest.Row) int64 {
-	var late int64
-	for _, r := range rows {
-		if w.lateLocked(r.Refs) {
-			late++
-		}
-	}
-	return late
-}
-
-// lateLocked reports whether a bottom-granularity fact with the given
-// refs would land inside an already-reduced region: Cell(f, t) at the
-// last synchronization time is above the bottom granularity (or the
-// fact is deleted there). Never-synchronized warehouses have no reduced
-// region. Invalid refs are not late — the insert path reports them.
-func (w *Warehouse) lateLocked(refs []mdm.ValueID) bool {
-	ts, ok := w.working.LastSync()
-	if !ok {
-		return false
-	}
-	if w.validateFact(refs, make([]float64, len(w.env.Schema.Measures))) != nil {
-		return false
-	}
-	sp := w.working.Spec()
-	if sp.DeletedBy(refs, ts) != nil {
-		return true
-	}
-	gran, _ := sp.AggLevel(refs, ts)
-	return !w.env.Schema.GranEq(gran, w.env.Schema.BottomGranularity())
 }

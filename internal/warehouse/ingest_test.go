@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"dimred/internal/core"
 	"dimred/internal/ingest"
 	"dimred/internal/mdm"
+	"dimred/internal/obs"
 	"dimred/internal/spec"
 	"dimred/internal/workload"
 )
@@ -360,5 +362,142 @@ func TestStartIngestTwiceAndStopIdle(t *testing.T) {
 	}
 	if err := w.StopIngest(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeCounters picks the counters a rejected write must leave alone.
+func writeCounters(m obs.MetricsSnapshot) [3]int64 {
+	return [3]int64{m.SnapshotPublishes, m.FactsLoaded, m.IngestQueued}
+}
+
+// TestWritePathsRejectOutOfRangeIDs feeds a value id outside its
+// dimension to every write entry point: each must return an error —
+// not panic indexing the dimension — and publish, load and queue
+// nothing.
+func TestWritePathsRejectOutOfRangeIDs(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	refs, meas, err := obj.Row(workload.Click{Day: caltime.Date(2000, 1, 3), URL: "http://www.x.com/p/1", Dwell: 1, Delivery: 1, SizeKB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []mdm.ValueID{1 << 20, -1} {
+		badRefs := []mdm.ValueID{refs[0], bad}
+		entries := map[string]func() error{
+			"Ingest": func() error { return w.Ingest(badRefs, meas) },
+			"Load":   func() error { return w.Load(badRefs, meas) },
+			"LoadBatch": func() error {
+				return w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+					return load(badRefs, meas)
+				})
+			},
+		}
+		for name, call := range entries {
+			before := writeCounters(w.Metrics())
+			if err := call(); err == nil {
+				t.Errorf("%s accepted value id %d", name, bad)
+			}
+			if after := writeCounters(w.Metrics()); after != before {
+				t.Errorf("%s with value id %d moved publishes/loaded/queued from %v to %v", name, bad, before, after)
+			}
+		}
+	}
+}
+
+// TestLoadBatchBadRowPublishesNothing pins that the row check runs
+// before the commit: a batch whose third row is bad publishes nothing
+// and leaves the storage report as it was, and the next valid batch
+// loads normally.
+func TestLoadBatchBadRowPublishesNothing(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 2, Start: start, Days: 30, ClicksPerDay: 4})
+	var rows [][]mdm.ValueID
+	var meas [][]float64
+	for i := 0; i < 5; i++ {
+		r, m, err := obj.Row(workload.Click{Day: start + caltime.Day(i), URL: "http://www.y.com/p/1", Dwell: 1, Delivery: 1, SizeKB: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, meas = append(rows, r), append(meas, m)
+	}
+	batch := func(bad int) error {
+		return w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+			for i := range rows {
+				r := rows[i]
+				if i == bad {
+					r = []mdm.ValueID{r[0], 1 << 20}
+				}
+				if err := load(r, meas[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+
+	stats, before := w.Stats().String(), w.Metrics()
+	if err := batch(2); err == nil {
+		t.Fatal("batch with a bad third row accepted")
+	}
+	d := w.Metrics().Sub(before)
+	if d.SnapshotPublishes != 0 || d.FactsLoaded != 0 || d.Syncs != 0 || d.SnapshotRebuilds != 0 {
+		t.Fatalf("rejected batch churned: publishes=%d loaded=%d syncs=%d rebuilds=%d",
+			d.SnapshotPublishes, d.FactsLoaded, d.Syncs, d.SnapshotRebuilds)
+	}
+	if got := w.Stats().String(); got != stats {
+		t.Fatalf("rejected batch changed the storage report\nbefore:\n%s\nafter:\n%s", stats, got)
+	}
+
+	before = w.Metrics()
+	if err := batch(-1); err != nil {
+		t.Fatal(err)
+	}
+	d = w.Metrics().Sub(before)
+	if d.SnapshotPublishes != 1 || d.FactsLoaded != int64(len(rows)) || d.Syncs != 1 {
+		t.Fatalf("valid batch after a rejected one: publishes=%d loaded=%d syncs=%d, want 1/%d/1",
+			d.SnapshotPublishes, d.FactsLoaded, d.Syncs, len(rows))
+	}
+}
+
+// TestLoadedFactsSurviveRoundTrip pins that the storage report and the
+// metrics count loaded facts from one source, before and after a
+// Save→Load round trip.
+func TestLoadedFactsSurviveRoundTrip(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 9, Start: start, Days: 20, ClicksPerDay: 6})
+	refs, meas, err := obj.Row(workload.Click{Day: start + 25, URL: "http://www.z.com/p/2", Dwell: 3, Delivery: 1, SizeKB: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Ingest(refs, meas); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.FlushIngest(); err != nil {
+		t.Fatal(err)
+	}
+	const want = 20*6 + 1
+	if st, m := w.Stats(), w.Metrics(); st.LoadedFacts != want || m.FactsLoaded != want {
+		t.Fatalf("before save: Stats().LoadedFacts=%d Metrics().FactsLoaded=%d, want %d", st.LoadedFacts, m.FactsLoaded, want)
+	}
+	var img bytes.Buffer
+	if err := w.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	w2, _, err := Load(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, m := w2.Stats(), w2.Metrics(); st.LoadedFacts != m.FactsLoaded || m.FactsLoaded != want {
+		t.Fatalf("after load: Stats().LoadedFacts=%d Metrics().FactsLoaded=%d, want both %d", st.LoadedFacts, m.FactsLoaded, want)
 	}
 }

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -101,7 +102,7 @@ func (w *Warehouse) Save(out io.Writer) error {
 	sf := snapshotFile{
 		Version:      snapshotVersion,
 		FactType:     w.env.Schema.FactType,
-		Loaded:       w.loaded.Load(),
+		Loaded:       w.met.FactsLoaded.Load(),
 		Deleted:      s.cubes.DeletedFacts(),
 		Now:          int64(s.now),
 		ViewsOn:      viewsOn,
@@ -192,8 +193,8 @@ type LoadedDims struct {
 
 // Load reconstructs a warehouse from a snapshot written by Save.
 func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
-	var sf snapshotFile
-	if err := gob.NewDecoder(in).Decode(&sf); err != nil {
+	sf, err := decodeSnapshot(in)
+	if err != nil {
 		return nil, nil, fmt.Errorf("warehouse: Load: %w", err)
 	}
 	if sf.Version < 1 || sf.Version > snapshotVersion {
@@ -220,7 +221,11 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 	}
 	var tm spec.TimeModel
 	if sf.TimeDimName != "" {
-		td, err := dims.TimeDimFrom(loaded.ByName[sf.TimeDimName])
+		d, ok := loaded.ByName[sf.TimeDimName]
+		if !ok {
+			return nil, nil, fmt.Errorf("warehouse: Load: time dimension %q is not among the dimensions", sf.TimeDimName)
+		}
+		td, err := dims.TimeDimFrom(d)
 		if err != nil {
 			return nil, nil, fmt.Errorf("warehouse: Load: %w", err)
 		}
@@ -258,16 +263,14 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 		w.vcfg = views.Config{MaxBytes: sf.ViewMaxBytes, MaxViews: sf.ViewMaxViews}
 	}
 	err = w.commitWithViewsLocked(func(cs *subcube.CubeSet) error {
-		refs := make([]mdm.ValueID, len(dimensions))
+		var refs []mdm.ValueID
 		for _, r := range sf.Rows {
-			if len(r.Refs) != len(refs) {
-				return fmt.Errorf("warehouse: Load: row arity mismatch")
-			}
-			for i, v := range r.Refs {
-				refs[i] = mdm.ValueID(v)
+			refs = refs[:0]
+			for _, v := range r.Refs {
+				refs = append(refs, mdm.ValueID(v))
 			}
 			if err := cs.RestoreRow(refs, r.Meas, r.Base); err != nil {
-				return err
+				return fmt.Errorf("warehouse: Load: %w", err)
 			}
 		}
 		cs.RestoreSyncState(caltime.Day(sf.LastSync), sf.Synced, sf.Deleted)
@@ -277,12 +280,30 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w.loaded.Store(sf.Loaded)
-	// Seed the cumulative metrics from the snapshot's bookkeeping so
-	// Metrics() agrees with Stats() after a restore.
+	// Seed the cumulative metrics from the snapshot's bookkeeping; Stats
+	// reads the loaded-fact count from FactsLoaded too.
 	w.met.FactsLoaded.Add(sf.Loaded)
 	w.met.FactsDeleted.Add(sf.Deleted)
 	return w, loaded, nil
+}
+
+// decodeSnapshot decodes an image in two passes. gob sizes a decoded
+// map from its count before reading any entry, so one damaged count
+// could ask for gigabytes. Decoding into a struct with only Version
+// makes gob skip every other field without allocating, checking each
+// count against the bytes after it; the second pass then decodes.
+func decodeSnapshot(in io.Reader) (snapshotFile, error) {
+	var sf snapshotFile
+	img, err := io.ReadAll(in)
+	if err != nil {
+		return sf, err
+	}
+	var probe struct{ Version int }
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&probe); err != nil {
+		return sf, err
+	}
+	err = gob.NewDecoder(bytes.NewReader(img)).Decode(&sf)
+	return sf, err
 }
 
 func restoreDimension(sd snapDimension) (*mdm.Dimension, error) {
@@ -300,7 +321,7 @@ func restoreDimension(sd snapDimension) (*mdm.Dimension, error) {
 	}
 	for i, sc := range sd.Categories {
 		for _, a := range sc.Anc {
-			if int(a) >= len(ids) {
+			if a < 0 || int(a) >= len(ids) {
 				return nil, fmt.Errorf("warehouse: Load: bad ancestor category in dimension %s", sd.Name)
 			}
 			if err := d.Contains(ids[i], ids[a]); err != nil {

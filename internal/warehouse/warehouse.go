@@ -54,11 +54,6 @@ type Warehouse struct {
 	// cur is the published snapshot. Written only under wmu; read by
 	// anyone.
 	cur atomic.Pointer[snapshot]
-	// loaded counts user facts ever loaded. It is updated after an
-	// operation commits, so a concurrent reader may briefly see a count
-	// one batch behind the published rows; Stats and Metrics pin a
-	// snapshot, so the skew is monitoring-only.
-	loaded atomic.Int64
 	// shapes accumulates view-eligible query shapes from the lock-free
 	// read path (one sync.Map probe plus an atomic add per query); the
 	// greedy view selector reads the trace on each refresh.
@@ -280,14 +275,12 @@ func (w *Warehouse) buildViewsLocked() *views.Set {
 	return set
 }
 
-// syncLocked runs one timed synchronization round through the
-// left-right protocol and reports it to the scheduler.
-func (w *Warehouse) syncLocked() error { return w.syncWithLocked(nil) }
-
-// syncWithLocked is syncLocked with an optional preparatory operation
-// folded into the same commit: prep's mutations and the synchronization
-// that folds them publish as one snapshot, so readers never observe the
-// intermediate (e.g. a bulk-loaded but not yet reduced) state.
+// syncWithLocked runs one timed synchronization round through the
+// left-right protocol and reports it to the scheduler. A non-nil prep
+// operation is folded into the same commit: prep's mutations and the
+// synchronization that folds them publish as one snapshot, so readers
+// never observe the intermediate (e.g. a loaded but not yet reduced)
+// state.
 func (w *Warehouse) syncWithLocked(prep func(cs *subcube.CubeSet) error) error {
 	clk := w.met.Clock()
 	start := clk.Now()
@@ -340,7 +333,7 @@ func (w *Warehouse) AdvanceTo(t caltime.Day) error {
 	defer w.wmu.Unlock()
 	w.met.Advances.Inc()
 	if w.sched.AdvanceTo(t) {
-		return w.syncLocked()
+		return w.syncWithLocked(nil)
 	}
 	w.publishClockLocked()
 	return nil
@@ -351,7 +344,7 @@ func (w *Warehouse) AdvanceTo(t caltime.Day) error {
 func (w *Warehouse) Sync() error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return w.syncLocked()
+	return w.syncWithLocked(nil)
 }
 
 // EnableViews turns on the materialized rollup-view lattice under the
@@ -416,31 +409,19 @@ func (w *Warehouse) SetInterpreted(v bool) {
 	})
 }
 
-// Load ingests one bottom-granularity fact. A fact whose day is
-// already inside a reduced region — the specification aggregates (or
-// deletes) its cell as of the last synchronization — is late: leaving
-// it at the bottom until the next scheduled sync would let queries
-// observe it at a granularity the Growing invariant says no longer
-// exists there, so the commit carries a synchronization and the fact
-// lands at Cell(f, t)'s granularity immediately, merged distributively.
+// Load ingests one bottom-granularity fact as a one-row fold. A fact
+// whose day is already inside a reduced region — the specification
+// aggregates (or deletes) its cell as of the last synchronization — is
+// late: leaving it at the bottom until the next scheduled sync would let
+// queries observe it at a granularity the Growing invariant says no
+// longer exists there, so the fold carries a synchronization and the
+// fact lands at Cell(f, t)'s granularity immediately, merged
+// distributively. An on-time fact commits without one.
 func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	op := func(cs *subcube.CubeSet) error {
-		return cs.Insert(refs, meas)
-	}
-	var err error
-	if w.lateLocked(refs) {
-		err = w.syncWithLocked(op)
-	} else {
-		err = w.commitLocked(op)
-	}
-	if err != nil {
-		return err
-	}
-	w.loaded.Add(1)
-	w.met.FactsLoaded.Inc()
-	return nil
+	rows := []ingest.Row{{Refs: refs, Meas: meas}}
+	return w.foldLocked(rows, w.working.CountLate(rows) > 0)
 }
 
 // LoadBatch ingests facts and synchronizes, the paper's bulk-load
@@ -454,16 +435,9 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	// Buffer the callback's rows: the commit applies the batch to both
 	// sides, and user code must not be re-entered (or observe a
 	// half-applied side) on the replay.
-	type bufRow struct {
-		refs []mdm.ValueID
-		meas []float64
-	}
-	var buf []bufRow
+	var buf []ingest.Row
 	err := rows(func(refs []mdm.ValueID, meas []float64) error {
-		buf = append(buf, bufRow{
-			refs: append([]mdm.ValueID(nil), refs...),
-			meas: append([]float64(nil), meas...),
-		})
+		buf = append(buf, ingest.NewRow(refs, meas))
 		return nil
 	})
 	if err != nil {
@@ -476,19 +450,39 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 		return nil
 	}
 	w.met.BatchLoads.Inc()
-	err = w.syncWithLocked(func(cs *subcube.CubeSet) error {
-		for _, r := range buf {
-			if err := cs.Insert(r.refs, r.meas); err != nil {
+	return w.foldLocked(buf, true)
+}
+
+// foldLocked is the one write path for facts: Load, LoadBatch,
+// FlushIngest and the ingest compactor all commit through it. It checks
+// every row first, so a bad row publishes nothing and leaves both sides
+// untouched, then inserts the rows at the bottom cube in one
+// publication. With sync set, the same publication synchronizes at the
+// current clock, so every row lands at Cell(f, t)'s granularity and
+// readers never observe the unfolded rows; without it, the rows wait at
+// the bottom for the next synchronization.
+func (w *Warehouse) foldLocked(rows []ingest.Row, sync bool) error {
+	for i, r := range rows {
+		if err := subcube.CheckRow(w.env.Schema, r.Refs, r.Meas, true); err != nil {
+			return fmt.Errorf("warehouse: row %d: %w", i, err)
+		}
+	}
+	insert := func(cs *subcube.CubeSet) error {
+		for _, r := range rows {
+			if err := cs.Insert(r.Refs, r.Meas); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	commit := w.commitLocked
+	if sync {
+		commit = w.syncWithLocked
+	}
+	if err := commit(insert); err != nil {
 		return err
 	}
-	w.loaded.Add(int64(len(buf)))
-	w.met.FactsLoaded.Add(int64(len(buf)))
+	w.met.FactsLoaded.Add(int64(len(rows)))
 	return nil
 }
 
@@ -496,16 +490,7 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 // e.g. "aggregate [Time.month, URL.domain] where ...") at the current
 // clock, using the paper's default approaches.
 func (w *Warehouse) Query(src string) (*mdm.MO, error) {
-	q, err := subcube.ParseQuery(src, w.env)
-	if err != nil {
-		return nil, err
-	}
-	s, p := w.pin()
-	defer p.Unpin()
-	if mo, ok := w.viewAnswer(s, q, s.now); ok {
-		return mo, nil
-	}
-	return s.cubes.Evaluate(q, s.now)
+	return w.QueryWith(src, query.Conservative, query.Availability)
 }
 
 // QueryWith evaluates a query with explicit selection and aggregation
@@ -518,50 +503,22 @@ func (w *Warehouse) QueryWith(src string, sel query.Approach, agg query.AggAppro
 	q.Sel, q.Agg = sel, agg
 	s, p := w.pin()
 	defer p.Unpin()
-	if mo, ok := w.viewAnswer(s, q, s.now); ok {
-		return mo, nil
-	}
-	return s.cubes.Evaluate(q, s.now)
+	return w.evaluate(s, q, s.now, nil)
 }
 
 // QueryAt evaluates a prepared query at an explicit time.
 func (w *Warehouse) QueryAt(q subcube.Query, t caltime.Day) (*mdm.MO, error) {
 	s, p := w.pin()
 	defer p.Unpin()
-	if mo, ok := w.viewAnswer(s, q, t); ok {
-		return mo, nil
-	}
-	return s.cubes.Evaluate(q, t)
+	return w.evaluate(s, q, t, nil)
 }
 
-// viewAnswer tries to answer q from the snapshot's materialized views:
-// the smallest view whose granularity rolls up to the target, provided
-// the set was built at exactly clock t under the snapshot's spec
-// generation (a stale view is skipped, not served — the base subcubes
-// answer instead). Every view-eligible query records its shape into
-// the selector's trace, hit or miss; misses are counted only while a
-// view set is published, so a views-off warehouse pays one map probe
-// and nothing else.
-func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day) (*mdm.MO, bool) {
-	if !q.ViewEligible() || len(q.Target) != w.env.Schema.NumDims() {
-		return nil, false
-	}
-	w.shapes.Record(spec.EncodeGran(q.Target))
-	if s.views == nil {
-		return nil, false
-	}
-	mo, ok := s.views.Answer(w.env.Schema, q, t, s.gen)
-	if !ok {
-		w.met.ViewMisses.Inc()
-		return nil, false
-	}
-	w.met.ViewHits.Inc()
-	return mo, true
-}
-
-// QueryTraced evaluates a query like Query and additionally returns an
-// execution trace: which subcubes were consulted or zone-map-pruned,
-// rows scanned versus kept per cube, and per-stage durations.
+// QueryTraced evaluates a query at the current clock on the base
+// subcubes and returns an execution trace: which subcubes were
+// consulted or zone-map-pruned, rows scanned versus kept per cube, and
+// per-stage durations. Unlike Query it never consults materialized
+// views, so it also serves as the base-path answer to check a
+// view-served one against.
 func (w *Warehouse) QueryTraced(src string) (*mdm.MO, *obs.Trace, error) {
 	q, err := subcube.ParseQuery(src, w.env)
 	if err != nil {
@@ -569,24 +526,54 @@ func (w *Warehouse) QueryTraced(src string) (*mdm.MO, *obs.Trace, error) {
 	}
 	s, p := w.pin()
 	defer p.Unpin()
-	return queryTraced(s, src, q, s.now)
-}
-
-// QueryAtTraced evaluates a prepared query at an explicit time with an
-// execution trace.
-func (w *Warehouse) QueryAtTraced(q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
-	s, p := w.pin()
-	defer p.Unpin()
-	return queryTraced(s, "", q, t)
-}
-
-func queryTraced(s *snapshot, src string, q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
-	tr := &obs.Trace{Query: src, At: t.String()}
-	mo, err := s.cubes.EvaluateTraced(q, t, tr)
+	tr := &obs.Trace{Query: src, At: s.now.String()}
+	mo, err := w.evaluate(s, q, s.now, tr)
 	if err != nil {
 		return nil, nil, err
 	}
 	return mo, tr, nil
+}
+
+// QueryAtTraced evaluates a prepared query at an explicit time on the
+// base subcubes, with an execution trace. Like QueryTraced it never
+// consults materialized views.
+func (w *Warehouse) QueryAtTraced(q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
+	s, p := w.pin()
+	defer p.Unpin()
+	tr := &obs.Trace{At: t.String()}
+	mo, err := w.evaluate(s, q, t, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mo, tr, nil
+}
+
+// evaluate is the one query body behind the five query entry points:
+// it answers q at time t against the pinned snapshot s. With a trace it
+// runs on the base subcubes only, recording the scan and combine stages
+// into tr. Without one it tries the snapshot's materialized views
+// first: the smallest view whose granularity rolls up to the target,
+// provided the set was built at exactly clock t under the snapshot's
+// spec generation (a stale view is skipped, not served — the base
+// subcubes answer instead). Every view-eligible query records its shape
+// into the selector's trace, hit or miss; misses are counted only while
+// a view set is published, so a views-off warehouse pays one map probe
+// and nothing else.
+func (w *Warehouse) evaluate(s *snapshot, q subcube.Query, t caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
+	if tr != nil {
+		return s.cubes.EvaluateTraced(q, t, tr)
+	}
+	if q.ViewEligible() && len(q.Target) == w.env.Schema.NumDims() {
+		w.shapes.Record(spec.EncodeGran(q.Target))
+		if s.views != nil {
+			if mo, ok := s.views.Answer(w.env.Schema, q, t, s.gen); ok {
+				w.met.ViewHits.Inc()
+				return mo, nil
+			}
+			w.met.ViewMisses.Inc()
+		}
+	}
+	return s.cubes.Evaluate(q, t)
 }
 
 // InsertActions extends the specification (Definition 3) and rebuilds
@@ -713,7 +700,7 @@ func (s Stats) String() string {
 func (w *Warehouse) Stats() Stats {
 	s, p := w.pin()
 	defer p.Unpin()
-	st := Stats{LoadedFacts: w.loaded.Load()}
+	st := Stats{LoadedFacts: w.met.FactsLoaded.Load()}
 	layout := storage.Layout{DimCols: w.env.Schema.NumDims(), MeasCols: len(w.env.Schema.Measures)}
 	st.UnreducedBytes = st.LoadedFacts * layout.RowBytes()
 	for _, c := range s.cubes.Cubes() {
