@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,15 +15,14 @@ import (
 	"dimred/internal/workload"
 )
 
-// benchRow is one line of the committed benchmark artifact
-// (BENCH_pr4.json / BENCH_pr5.json): an operation on one evaluation
-// path, with the standard go-bench figures plus row throughput. The
-// interpreted path is the pre-specexec implementation, so each
-// interpreted/compiled pair is a before/after reading at identical
-// workload scale.
+// benchRow is one line of a benchmark artifact: an operation on one
+// evaluation path, with the standard go-bench figures plus row
+// throughput. Each op is measured on a baseline path and an improved
+// path at identical workload scale, so the pair is a before/after
+// reading; BENCH_gates.json names the pair and its floor.
 type benchRow struct {
 	Op          string  `json:"op"`
-	Path        string  `json:"path"` // "interpreted" (before) or "compiled" (after)
+	Path        string  `json:"path"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op"`
@@ -44,24 +44,48 @@ type cacheStats struct {
 	BitsetBytes        int64 `json:"bitset_bytes"`
 }
 
-// benchReport is the BENCH_pr5.json shape: the measurement rows plus
-// optional citations — the cache counters for the compiled Query run,
-// and the host parallelism for QPS runs (scaling figures are only
-// meaningful against the GOMAXPROCS they were measured at).
-// BENCH_pr4.json predates the wrapper and is a bare row array;
-// loadBenchReport reads both.
+// benchReport is the one artifact shape -bench and -qps write and
+// -benchdiff reads: which suite produced the rows (selecting its gates
+// in BENCH_gates.json), the host they were measured on (ratios hold
+// across hosts, scaling figures only up to GOMAXPROCS), the rows, and
+// the counter citations backing them.
 type benchReport struct {
-	Rows   []benchRow   `json:"rows"`
+	Suite     string         `json:"suite"`
+	Env       benchEnv       `json:"env"`
+	Rows      []benchRow     `json:"rows"`
+	Citations benchCitations `json:"citations"`
+}
+
+// benchEnv fingerprints the host an artifact was measured on.
+type benchEnv struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
+// benchCitations are the Metrics() deltas recorded around the improved
+// runs: each shows the measured speedup came from the mechanism it is
+// credited to. The qps suite cites none.
+type benchCitations struct {
 	Cache  *cacheStats  `json:"cache,omitempty"`
-	Env    *benchEnv    `json:"env,omitempty"`
 	Views  *viewStats   `json:"views,omitempty"`
 	Ingest *ingestStats `json:"ingest,omitempty"`
 }
 
-// benchEnv records the parallelism the artifact was measured under.
-type benchEnv struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
+// writeBenchReport stamps the report with this host's fingerprint and
+// writes it as indented JSON to outPath (- for stdout).
+func writeBenchReport(outPath string, report benchReport) error {
+	report.Env = benchEnv{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	out = append(out, '\n')
+	if outPath == "-" {
+		_, err = os.Stdout.Write(out)
+		return err
+	}
+	return os.WriteFile(outPath, out, 0o644)
 }
 
 // runBenchSuite measures the compiled-vs-interpreted pairs at the
@@ -186,16 +210,9 @@ func runBenchSuite(outPath string) error {
 	}
 	rows = append(rows, ingestRows...)
 
-	out, err := json.MarshalIndent(benchReport{Rows: rows, Cache: cache, Views: viewSt, Ingest: ingestSt}, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if outPath == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
+	report := benchReport{Suite: "bench", Rows: rows,
+		Citations: benchCitations{Cache: cache, Views: viewSt, Ingest: ingestSt}}
+	if err := writeBenchReport(outPath, report); err != nil || outPath == "-" {
 		return err
 	}
 	for _, r := range rows {

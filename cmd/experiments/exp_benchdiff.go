@@ -4,151 +4,134 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 )
 
-// benchDiffTolerance is how much of the old baseline-over-improved
-// speedup a new run may lose before the diff fails. Ratios of two
-// measurements on the same host cancel out machine speed, so CI can
-// compare a fresh run against a committed artifact from different
-// hardware.
-const benchDiffTolerance = 0.25
-
-// benchDiffAbsFloors are op-specific absolute ratio floors, enforced on
-// the candidate regardless of what the baseline artifact shows. The
-// contention figure carries one: if the snapshot read path stops
-// out-serving the locked baseline by at least 2x under an 8-reader
-// storm, a lock has crept back into query serving and the build fails
-// even against a weak baseline. QueryViews carries one too: on the
-// Zipf-skewed dashboard workload the materialized rollup views must
-// out-serve the base subcube path at least 1.5x, or view selection has
-// stopped paying for its bytes.
-var benchDiffAbsFloors = map[string]float64{
-	"ReadQPS/g8": 2.0,
-	"QueryViews": 1.5,
-	"Ingest":     2.0,
+// benchGate is one declared floor of BENCH_gates.json: in an artifact
+// of Suite, op Op's Base path must take at least Min times as long per
+// op as its Improved path. Ratios of two measurements on the same host
+// cancel out machine speed, so one committed floor gates runs on any
+// hardware. Min 0 keeps the pair required but only reports its ratio:
+// the ReadQPS rows below g8, whose ratio is bounded by the host's
+// GOMAXPROCS. Why records where the floor came from; a floor may be
+// raised, never lowered.
+type benchGate struct {
+	Suite    string  `json:"suite"`
+	Op       string  `json:"op"`
+	Base     string  `json:"base"`
+	Improved string  `json:"improved"`
+	Min      float64 `json:"min"`
+	Why      string  `json:"why"`
 }
 
-// benchDiffAbsOnlyOps are gated solely by their absolute floor, never
-// against the baseline artifact's ratio. The Ingest locked-over-delta
-// figure is one: the locked baseline pays a publication per late fact
-// while the delta path amortizes over group commits, so the ratio
-// tracks the measuring host's sync cost and can legitimately be many
-// times larger on fast hardware — like ReadQPS at low reader counts,
-// the committed magnitude is not portable, but the 2x floor is: if
-// buffered ingest stops clearly out-absorbing per-fact Load, the delta
-// path has stopped paying for its complexity.
-var benchDiffAbsOnlyOps = map[string]bool{
-	"Ingest": true,
+// gateResult is one gate's measured base/improved ratio.
+type gateResult struct {
+	benchGate
+	ratio float64
 }
 
-// loadBenchReport reads a benchmark artifact in either format: the
-// benchReport object written since BENCH_pr5.json, or the bare row
-// array of BENCH_pr4.json and earlier.
+func (r gateResult) status() string {
+	switch {
+	case r.Min == 0:
+		return "informational"
+	case r.ratio < r.Min:
+		return "REGRESSED"
+	}
+	return "ok"
+}
+
+// loadGates reads a gates file and rejects an incomplete gate, a floor
+// that is negative or NaN, and a second gate for one (suite, op).
+func loadGates(path string) ([]benchGate, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var gates []benchGate
+	if err := json.Unmarshal(data, &gates); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	seen := map[[2]string]bool{}
+	for _, g := range gates {
+		key := [2]string{g.Suite, g.Op}
+		if g.Suite == "" || g.Op == "" || g.Base == "" || g.Improved == "" || !(g.Min >= 0) || seen[key] {
+			return nil, fmt.Errorf("%s: malformed or duplicate gate %+v", path, g)
+		}
+		seen[key] = true
+	}
+	return gates, nil
+}
+
+// loadBenchReport reads an artifact written by -bench or -qps.
 func loadBenchReport(path string) (benchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return benchReport{}, err
 	}
 	var report benchReport
-	if err := json.Unmarshal(data, &report); err == nil && len(report.Rows) > 0 {
-		return report, nil
+	if err := json.Unmarshal(data, &report); err != nil {
+		return benchReport{}, fmt.Errorf("%s: %w", path, err)
 	}
-	var rows []benchRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return benchReport{}, fmt.Errorf("%s: neither a bench report nor a row array: %w", path, err)
+	if len(report.Rows) == 0 {
+		return benchReport{}, fmt.Errorf("%s: no benchmark rows", path)
 	}
-	return benchReport{Rows: rows}, nil
+	return report, nil
 }
 
-// pathPair names the (baseline, improved) paths whose ns-per-op ratio
-// is an op's figure of merit.
-func pathPair(op string) (base, improved string) {
-	if strings.HasPrefix(op, "ReadQPS") {
-		return "locked", "snapshot"
+// speedups applies every gate of the report's suite to its rows. A gate
+// whose op the report does not measure, a pair with one side missing,
+// and a zero, negative or NaN measurement are each an error naming the
+// op: a bench that silently stopped producing a figure (or divided into
+// +Inf) would otherwise grandfather in any regression behind it. Rows no
+// gate names are ignored. When every ratio was computed, the results
+// come back even if some fall below their floor, so the caller can print
+// them beside the error.
+func speedups(gates []benchGate, report benchReport) ([]gateResult, error) {
+	ns := map[[2]string]float64{}
+	for _, r := range report.Rows {
+		ns[[2]string{r.Op, r.Path}] = r.NsPerOp
 	}
-	if op == "QueryViews" {
-		return "views-off", "views-on"
-	}
-	if op == "Ingest" {
-		return "locked", "delta"
-	}
-	return "interpreted", "compiled"
-}
-
-// speedups computes, per op present in rows, how many times faster the
-// improved path is than its baseline path. An op measuring neither side
-// of its pair has nothing to compare and is skipped; an op with one
-// side missing, or with a zero, negative or NaN measurement, is an
-// error naming the op — a silent skip would let a bench that stopped
-// producing a figure (or divided into +Inf downstream) grandfather in
-// any regression behind it.
-func speedups(rows []benchRow) (map[string]float64, error) {
-	ns := make(map[string]map[string]float64)
-	for _, r := range rows {
-		if ns[r.Op] == nil {
-			ns[r.Op] = make(map[string]float64)
+	var results []gateResult
+	var missing, regressed []string
+	for _, g := range gates {
+		if g.Suite != report.Suite {
+			continue
 		}
-		ns[r.Op][r.Path] = r.NsPerOp
-	}
-	out := make(map[string]float64)
-	for op, paths := range ns {
-		base, improved := pathPair(op)
-		bv, hasBase := paths[base]
-		iv, hasImproved := paths[improved]
+		bv, hasBase := ns[[2]string{g.Op, g.Base}]
+		iv, hasImproved := ns[[2]string{g.Op, g.Improved}]
 		if !hasBase && !hasImproved {
-			continue // op does not measure this pair: nothing to compare
+			missing = append(missing, g.Op)
+			continue
 		}
 		if !hasBase || !hasImproved {
-			present, absent := base, improved
+			present, absent := g.Base, g.Improved
 			if !hasBase {
-				present, absent = improved, base
+				present, absent = g.Improved, g.Base
 			}
-			return nil, fmt.Errorf("op %s: path %q measured but pair path %q missing", op, present, absent)
+			return nil, fmt.Errorf("op %s: path %q measured but pair path %q missing", g.Op, present, absent)
 		}
 		// !(x > 0) rather than x <= 0: NaN fails every comparison.
 		if !(bv > 0) || !(iv > 0) {
 			return nil, fmt.Errorf("op %s: non-positive or NaN ns/op (%s=%v, %s=%v); refusing to compute a speedup",
-				op, base, bv, improved, iv)
+				g.Op, g.Base, bv, g.Improved, iv)
 		}
-		out[op] = bv / iv
-	}
-	return out, nil
-}
-
-// qpsByOpPath extracts queries-per-second per "op/path" from QPS rows.
-func qpsByOpPath(rows []benchRow) map[string]float64 {
-	out := map[string]float64{}
-	for _, r := range rows {
-		if strings.HasPrefix(r.Op, "ReadQPS") && r.RowsPerSec > 0 {
-			out[r.Op+"/"+r.Path] = r.RowsPerSec
+		r := gateResult{benchGate: g, ratio: bv / iv}
+		if r.ratio < g.Min {
+			regressed = append(regressed, fmt.Sprintf("%s (%.2fx < %.2fx)", g.Op, r.ratio, g.Min))
 		}
+		results = append(results, r)
 	}
-	return out
-}
-
-// benchDiffLine is one compared op, kept for the step-summary table.
-type benchDiffLine struct {
-	op                  string
-	oldS, newS, floor   float64
-	regressed, absFloor bool
-	gated               bool
-}
-
-// gatedOp reports whether an op's speedup ratio is enforced. Compiled
-// ops always are: their interpreted/compiled ratio is host-independent.
-// A contention ratio is only portable where it carries an absolute
-// floor (ReadQPS/g8): at low reader counts the locked-over-snapshot
-// figure is dominated by the measuring host's parallelism, so those
-// rows are reported — and still required to exist — but not gated
-// against a baseline from different hardware.
-func gatedOp(op string) bool {
-	if !strings.HasPrefix(op, "ReadQPS") {
-		return true
+	if len(results)+len(missing) == 0 {
+		return nil, fmt.Errorf("no gates for suite %q", report.Suite)
 	}
-	_, hasAbs := benchDiffAbsFloors[op]
-	return hasAbs
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("gated ops missing from the %s artifact: %s (refusing to check a partial artifact)",
+			report.Suite, strings.Join(missing, ", "))
+	}
+	if len(regressed) > 0 {
+		return results, fmt.Errorf("speedup below its floor on: %s", strings.Join(regressed, ", "))
+	}
+	return results, nil
 }
 
 // checkViewStats validates the view-counter citation accompanying a
@@ -183,130 +166,58 @@ func hasOp(rows []benchRow, op string) bool {
 	return false
 }
 
-// runBenchDiff compares the speedup ratios of two benchmark artifacts
-// and fails if any op common to both lost more than benchDiffTolerance
-// of its old speedup or undercut its absolute floor. Absolute ns/op is
-// not compared — it tracks the host, not the code. An op present in
-// the baseline but absent from the candidate is an error, not a skip: a
-// bench that silently stops producing a figure would otherwise
-// grandfather in any regression behind it.
+// runBenchDiff checks a fresh artifact against the committed gates:
+// spec is GATES.json,NEW.json. Absolute ns/op is never compared — it
+// tracks the host, not the code.
 func runBenchDiff(spec string) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
-		return fmt.Errorf("-benchdiff wants OLD.json,NEW.json, got %q", spec)
+		return fmt.Errorf("-benchdiff wants GATES.json,NEW.json, got %q", spec)
 	}
-	oldReport, err := loadBenchReport(parts[0])
+	gates, err := loadGates(parts[0])
 	if err != nil {
 		return err
 	}
-	newReport, err := loadBenchReport(parts[1])
+	report, err := loadBenchReport(parts[1])
 	if err != nil {
 		return err
 	}
-	oldS, err := speedups(oldReport.Rows)
-	if err != nil {
-		return fmt.Errorf("%s: %w", parts[0], err)
-	}
-	newS, err := speedups(newReport.Rows)
-	if err != nil {
-		return fmt.Errorf("%s: %w", parts[1], err)
+	fmt.Printf("%s suite, GOMAXPROCS=%d NumCPU=%d %s\n",
+		report.Suite, report.Env.GOMAXPROCS, report.Env.NumCPU, report.Env.GoVersion)
+	results, gateErr := speedups(gates, report)
+	for _, r := range results {
+		fmt.Printf("%-12s speedup %7.2fx (floor %7.2fx) %s\n", r.Op, r.ratio, r.Min, r.status())
 	}
 
-	ops := make([]string, 0, len(oldS))
-	for op := range oldS {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	if len(ops) == 0 {
-		return fmt.Errorf("no comparable ops in %s", parts[0])
-	}
-
-	var lines []benchDiffLine
-	var failures, missing []string
-	for _, op := range ops {
-		o := oldS[op]
-		n, ok := newS[op]
-		if !ok {
-			missing = append(missing, op)
-			continue
-		}
-		if !gatedOp(op) {
-			lines = append(lines, benchDiffLine{op: op, oldS: o, newS: n})
-			fmt.Printf("%-12s speedup %5.2fx -> %5.2fx (informational)\n", op, o, n)
-			continue
-		}
-		floor := o * (1 - benchDiffTolerance)
-		abs := false
-		if benchDiffAbsOnlyOps[op] {
-			floor, abs = benchDiffAbsFloors[op], true
-		} else if f, hasAbs := benchDiffAbsFloors[op]; hasAbs && f > floor {
-			floor, abs = f, true
-		}
-		status := "ok"
-		if n < floor {
-			status = "REGRESSED"
-			failures = append(failures, op)
-		}
-		lines = append(lines, benchDiffLine{op: op, oldS: o, newS: n, floor: floor,
-			regressed: n < floor, absFloor: abs, gated: true})
-		fmt.Printf("%-12s speedup %5.2fx -> %5.2fx (floor %5.2fx) %s\n", op, o, n, floor, status)
-	}
-
-	// The snapshot path's reader scaling is informational: its ceiling
-	// is GOMAXPROCS, so a 2-core CI runner legitimately shows less than
-	// the committed artifact's figure.
-	oldQPS, newQPS := qpsByOpPath(oldReport.Rows), qpsByOpPath(newReport.Rows)
-	if g1, g8 := newQPS["ReadQPS/g1/snapshot"], newQPS["ReadQPS/g8/snapshot"]; g1 > 0 && g8 > 0 {
-		line := fmt.Sprintf("snapshot read scaling 1->8 readers: %.2fx", g8/g1)
-		if og1, og8 := oldQPS["ReadQPS/g1/snapshot"], oldQPS["ReadQPS/g8/snapshot"]; og1 > 0 && og8 > 0 {
-			line += fmt.Sprintf(" (baseline artifact: %.2fx", og8/og1)
-			if oldReport.Env != nil {
-				line += fmt.Sprintf(" at GOMAXPROCS=%d", oldReport.Env.GOMAXPROCS)
-			}
-			line += ")"
-		}
-		if newReport.Env != nil {
-			line += fmt.Sprintf(", this run GOMAXPROCS=%d", newReport.Env.GOMAXPROCS)
-		}
-		fmt.Println(line)
-	}
-
-	if hasOp(newReport.Rows, "QueryViews") {
-		if err := checkViewStats(newReport.Views); err != nil {
+	views, ingest := report.Citations.Views, report.Citations.Ingest
+	if hasOp(report.Rows, "QueryViews") {
+		if err := checkViewStats(views); err != nil {
 			return fmt.Errorf("%s: %w", parts[1], err)
 		}
-		v := newReport.Views
 		fmt.Printf("QueryViews citation: %d view hits, %d misses, %d builds, %d/%d bytes of budget\n",
-			v.Hits, v.Misses, v.Builds, v.Bytes, v.BudgetBytes)
+			views.Hits, views.Misses, views.Builds, views.Bytes, views.BudgetBytes)
 	}
-
-	if hasOp(newReport.Rows, "Ingest") {
-		if err := checkIngestStats(newReport.Ingest); err != nil {
+	if hasOp(report.Rows, "Ingest") {
+		if err := checkIngestStats(ingest); err != nil {
 			return fmt.Errorf("%s: %w", parts[1], err)
 		}
-		in := newReport.Ingest
 		fmt.Printf("Ingest citation: %d queued = %d compacted (%d late) in %d compactions; reader p99 locked %dns vs delta %dns\n",
-			in.Queued, in.Compacted, in.Late, in.Compactions, in.LockedP99Ns, in.DeltaP99Ns)
+			ingest.Queued, ingest.Compacted, ingest.Late, ingest.Compactions, ingest.LockedP99Ns, ingest.DeltaP99Ns)
 	}
 
-	writeBenchDiffSummary(lines, newReport.Views, newReport.Ingest)
-
-	if len(missing) > 0 {
-		return fmt.Errorf("ops missing from %s: %s (present in %s; refusing to compare a partial artifact)",
-			parts[1], strings.Join(missing, ", "), parts[0])
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("speedup regressed beyond its floor on: %s", strings.Join(failures, ", "))
+	writeBenchDiffSummary(report, results)
+	if gateErr != nil {
+		return fmt.Errorf("%s: %w", parts[1], gateErr)
 	}
 	return nil
 }
 
-// writeBenchDiffSummary appends a markdown table of the compared ops —
+// writeBenchDiffSummary appends a markdown table of the checked gates —
 // plus the counter citations backing any QueryViews or Ingest rows —
 // to $GITHUB_STEP_SUMMARY when CI provides one.
-func writeBenchDiffSummary(lines []benchDiffLine, views *viewStats, ingest *ingestStats) {
+func writeBenchDiffSummary(report benchReport, results []gateResult) {
 	path := os.Getenv("GITHUB_STEP_SUMMARY")
-	if path == "" || len(lines) == 0 {
+	if path == "" || len(results) == 0 {
 		return
 	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -314,33 +225,20 @@ func writeBenchDiffSummary(lines []benchDiffLine, views *viewStats, ingest *inge
 		return
 	}
 	defer f.Close()
-	fmt.Fprintf(f, "### benchdiff\n\n")
-	fmt.Fprintf(f, "| op | baseline | candidate | floor | status |\n")
-	fmt.Fprintf(f, "|---|---|---|---|---|\n")
-	for _, l := range lines {
-		status := "ok"
-		floor := "—"
-		switch {
-		case !l.gated:
-			status = "informational"
-		case l.regressed:
-			status = "**REGRESSED**"
-		}
-		if l.gated {
-			floor = fmt.Sprintf("%.2fx", l.floor)
-			if l.absFloor {
-				floor += " (absolute)"
-			}
-		}
-		fmt.Fprintf(f, "| %s | %.2fx | %.2fx | %s | %s |\n", l.op, l.oldS, l.newS, floor, status)
+	fmt.Fprintf(f, "### benchdiff: %s suite (GOMAXPROCS=%d, NumCPU=%d, %s)\n\n",
+		report.Suite, report.Env.GOMAXPROCS, report.Env.NumCPU, report.Env.GoVersion)
+	fmt.Fprintf(f, "| op | speedup | floor | status |\n")
+	fmt.Fprintf(f, "|---|---|---|---|\n")
+	for _, r := range results {
+		fmt.Fprintf(f, "| %s | %.2fx | %.2fx | %s |\n", r.Op, r.ratio, r.Min, r.status())
 	}
 	fmt.Fprintln(f)
-	if views != nil {
+	if v := report.Citations.Views; v != nil {
 		fmt.Fprintf(f, "QueryViews citation: ViewHits=%d ViewMisses=%d ViewBuilds=%d ViewBytes=%d/%d budget\n\n",
-			views.Hits, views.Misses, views.Builds, views.Bytes, views.BudgetBytes)
+			v.Hits, v.Misses, v.Builds, v.Bytes, v.BudgetBytes)
 	}
-	if ingest != nil {
+	if in := report.Citations.Ingest; in != nil {
 		fmt.Fprintf(f, "Ingest citation: IngestQueued=%d IngestCompacted=%d IngestLate=%d compactions=%d reader-p99 locked=%dns delta=%dns\n\n",
-			ingest.Queued, ingest.Compacted, ingest.Late, ingest.Compactions, ingest.LockedP99Ns, ingest.DeltaP99Ns)
+			in.Queued, in.Compacted, in.Late, in.Compactions, in.LockedP99Ns, in.DeltaP99Ns)
 	}
 }

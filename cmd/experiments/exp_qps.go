@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,8 +28,8 @@ import (
 //
 // Each (path, goroutine-count) configuration is one ReadQPS/g<N> row in
 // the artifact; the g8 locked-vs-snapshot pair is the contention figure
-// -benchdiff gates, and the snapshot path's g1→g8 QPS growth is the
-// scaling figure (its ceiling tracks GOMAXPROCS, recorded in the
+// BENCH_gates.json floors, and the snapshot path's g1→g8 QPS growth is
+// the scaling figure (its ceiling tracks GOMAXPROCS, recorded in the
 // artifact's env section).
 const (
 	// qpsWindow is the measurement window per configuration; each
@@ -191,8 +189,7 @@ func qpsRow(op, path string, workloadRows int, queries int64, elapsed time.Durat
 }
 
 // runQPSBench measures closed-loop read QPS for both read paths at each
-// goroutine count and writes the rows (plus the run's GOMAXPROCS, which
-// bounds achievable scaling) as JSON to outPath.
+// goroutine count and writes the rows as JSON to outPath.
 func runQPSBench(outPath string) error {
 	obj, sp, err := qpsWorkload()
 	if err != nil {
@@ -310,23 +307,9 @@ func runQPSBench(outPath string) error {
 		}
 	}
 
-	report := benchReport{
-		Rows: rows,
-		Env:  &benchEnv{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	if err := writeBenchReport(outPath, benchReport{Suite: "qps", Rows: rows}); err != nil || outPath == "-" {
 		return err
 	}
-	out = append(out, '\n')
-	if outPath == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		return err
-	}
-
 	byOpPath := map[string]float64{}
 	for _, r := range rows {
 		byOpPath[r.Op+"/"+r.Path] = r.RowsPerSec

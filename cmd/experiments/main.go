@@ -52,7 +52,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	bench := flag.String("bench", "", "run the compiled-vs-interpreted benchmark suite and write JSON to the given path (- for stdout)")
 	qps := flag.String("qps", "", "run the contention read-QPS benchmark (locked vs snapshot read path) and write JSON to the given path (- for stdout)")
-	benchdiff := flag.String("benchdiff", "", "compare two benchmark artifacts (OLD.json,NEW.json) and fail on a speedup regression")
+	benchdiff := flag.String("benchdiff", "", "check a benchmark artifact against the declared speedup floors (GATES.json,NEW.json) and fail below any floor")
 	flag.Parse()
 
 	if *bench != "" {
